@@ -56,7 +56,7 @@ fn main() -> ExitCode {
             eprintln!("  analyze [--json] <input.f32>");
             eprintln!("  simulate [--json] <model> [accelerator]");
             eprintln!("  profile <model>");
-            eprintln!("  serve [--addr A] [--workers N] [--shards N] [--shard-workers N] [--quota UNITS_PER_S] [--batch N] [--window-us N] [--queue N] [--store DIR] [--smoke]");
+            eprintln!("  serve [--addr A] [--workers N] [--shards N] [--shard-workers N] [--quota UNITS_PER_S] [--batch N] [--window-us N (default 0)] [--queue N] [--store DIR] [--smoke]");
             eprintln!("  load  [--smoke] [--schedule-only] [--addr A] [--seed N] [--rps R] [--flood-rps R] [--duration-ms N] [--tenants N] [--skew S] [--injectors N] [--shards N] [--quota U] [--tensor-mix F] [--store DIR] [--out FILE]");
             eprintln!("  router --backends A,B,... [--addr A] [--workers N] [--probe-ms N] [--retries N] [--retry-budget RPS] [--seed N]");
             eprintln!("  router --bench-kill [--seed N] [--out FILE]");

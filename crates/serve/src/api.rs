@@ -11,6 +11,8 @@
 //! server through [`spark_codec::encode_batch`]) so the batcher can
 //! coalesce the expensive stage without reshaping responses.
 
+use std::sync::OnceLock;
+
 use spark_codec::{analysis, decode_stream, EncodedTensor, NibbleStream};
 use spark_data::ModelProfile;
 use spark_nn::layers::{Dense, Relu};
@@ -135,17 +137,59 @@ pub fn analyze_response(values: &[f32]) -> Result<Value, String> {
     Ok(Value::Object(members))
 }
 
+/// One servable model: its calibration profile and, once its first
+/// simulate request has run, the memoized calibration.
+struct ModelEntry {
+    profile: ModelProfile,
+    calibrated: OnceLock<Result<(ModelWorkload, PrecisionProfile), String>>,
+}
+
+/// Every servable model, in [`ModelProfile::all`] order, each with its
+/// own lazily filled calibration.
+struct ModelTable(Vec<ModelEntry>);
+
+impl ModelTable {
+    fn new() -> Self {
+        Self(
+            ModelProfile::all()
+                .into_iter()
+                .map(|profile| ModelEntry { profile, calibrated: OnceLock::new() })
+                .collect(),
+        )
+    }
+
+    /// Looks a model up case-insensitively.
+    fn find(&self, name: &str) -> Result<&ModelEntry, String> {
+        self.0
+            .iter()
+            .find(|m| m.profile.name.eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown model {name}; try `spark models`"))
+    }
+
+    /// See [`resolve_sim_job`].
+    fn sim_job(&self, model: &str, accelerator: &str) -> Result<SimJob, String> {
+        let entry = self.find(model)?;
+        let kind = resolve_accelerator(accelerator)?;
+        let calibrated = entry.calibrated.get_or_init(|| calibrate(&entry.profile));
+        let (workload, precision) = calibrated.as_ref().map_err(Clone::clone)?;
+        Ok(SimJob { workload: workload.clone(), kind, precision: *precision })
+    }
+}
+
+/// The process-wide model table. Calibrations fill in one per model, on
+/// that model's first request; nothing is calibrated at server start.
+fn models() -> &'static ModelTable {
+    static MODELS: OnceLock<ModelTable> = OnceLock::new();
+    MODELS.get_or_init(ModelTable::new)
+}
+
 /// Resolves a model name case-insensitively to its canonical spelling.
 ///
 /// # Errors
 ///
 /// Unknown names get a message listing the lookup command.
 pub fn resolve_model(name: &str) -> Result<String, String> {
-    ModelProfile::all()
-        .into_iter()
-        .map(|p| p.name)
-        .find(|n| n.eq_ignore_ascii_case(name))
-        .ok_or_else(|| format!("unknown model {name}; try `spark models`"))
+    models().find(name).map(|m| m.profile.name.clone())
 }
 
 /// Resolves an accelerator name case-insensitively.
@@ -173,26 +217,32 @@ pub struct SimJob {
     pub precision: PrecisionProfile,
 }
 
+/// Calibrates a model from its sampled weight and activation
+/// distributions: the workload plus the SPARK precision mix the simulator
+/// prices it with. Deterministic (fixed sample seeds), so its result can
+/// be computed once per model and shared.
+fn calibrate(profile: &ModelProfile) -> Result<(ModelWorkload, PrecisionProfile), String> {
+    let workload = ModelWorkload::by_name(&profile.name)
+        .ok_or_else(|| format!("no workload for {}", profile.name))?;
+    let weights = profile.sample_tensor(40_000, 1);
+    let acts = profile.sample_activations(40_000, 2);
+    let precision =
+        PrecisionProfile::from_tensors(&weights, &acts).map_err(|e| e.to_string())?;
+    Ok((workload, precision))
+}
+
 /// Resolves model + accelerator names into a runnable [`SimJob`], using
 /// the same calibrated sampling as `spark simulate`.
+///
+/// Calibration runs once per model per process, on that model's first
+/// call; later calls copy the memoized workload and precision profile.
+/// The simulation itself is never cached: every job still runs.
 ///
 /// # Errors
 ///
 /// Unknown model or accelerator names.
 pub fn resolve_sim_job(model: &str, accelerator: &str) -> Result<SimJob, String> {
-    let canonical = resolve_model(model)?;
-    let kind = resolve_accelerator(accelerator)?;
-    let workload = ModelWorkload::by_name(&canonical)
-        .ok_or_else(|| format!("no workload for {canonical}"))?;
-    let profile = ModelProfile::all()
-        .into_iter()
-        .find(|p| p.name == canonical)
-        .ok_or_else(|| format!("no calibrated profile for {canonical}"))?;
-    let weights = profile.sample_tensor(40_000, 1);
-    let acts = profile.sample_activations(40_000, 2);
-    let precision =
-        PrecisionProfile::from_tensors(&weights, &acts).map_err(|e| e.to_string())?;
-    Ok(SimJob { workload, kind, precision })
+    models().sim_job(model, accelerator)
 }
 
 /// Serializes a finished simulation as the `/v1/simulate` response body:
@@ -431,6 +481,57 @@ mod tests {
         assert!(resolve_model("nope").is_err());
         assert_eq!(resolve_accelerator("SPARK").unwrap(), AcceleratorKind::Spark);
         assert!(resolve_accelerator("nope").unwrap_err().contains("expected one of"));
+    }
+
+    fn precision_bits(p: &PrecisionProfile) -> [u64; 4] {
+        [p.short_frac_w, p.short_frac_a, p.spark_bits_w, p.spark_bits_a].map(f64::to_bits)
+    }
+
+    /// Asserts a job equals an uncached calibration of its model.
+    fn assert_job(job: &SimJob, kind: AcceleratorKind, want: &(ModelWorkload, PrecisionProfile)) {
+        assert_eq!(job.kind, kind);
+        assert_eq!(job.workload, want.0);
+        assert_eq!(precision_bits(&job.precision), precision_bits(&want.1));
+    }
+
+    #[test]
+    fn memoized_sim_job_equals_an_uncached_calibration() {
+        for entry in &models().0 {
+            let want = calibrate(&entry.profile).unwrap();
+            for kind in AcceleratorKind::ALL {
+                // Twice: the first call may fill the memo, the second reads it.
+                for _ in 0..2 {
+                    let job = resolve_sim_job(&entry.profile.name, kind.name()).unwrap();
+                    assert_job(&job, kind, &want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn racing_first_use_yields_identical_jobs() {
+        let table = ModelTable::new();
+        let start = std::sync::Barrier::new(8);
+        let jobs: Vec<Vec<SimJob>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let names = table.0.iter().map(|m| &m.profile.name);
+                        names.map(|n| table.sim_job(n, "spark").unwrap()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, entry) in table.0.iter().enumerate() {
+            assert_job(&jobs[0][i], AcceleratorKind::Spark, &calibrate(&entry.profile).unwrap());
+            for thread in &jobs[1..] {
+                assert_eq!(thread[i].workload, jobs[0][i].workload);
+                let (got, want) = (&thread[i].precision, &jobs[0][i].precision);
+                assert_eq!(precision_bits(got), precision_bits(want));
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!    latency, while under heavy load step 2 always finds a full batch
 //!    and the window never triggers.
 //!
+//! The server's default window is zero, which makes the batcher work
+//! conserving: step 3 never runs, a lone job starts at once, and batches
+//! form only from jobs that queued while the previous batch ran.
+//!
 //! Shutdown is channel-drop driven: dropping the last [`Batcher`] handle
 //! closes the channel, the thread drains remaining jobs, runs them, and
 //! exits. No flags, no sentinel jobs.
@@ -204,6 +208,36 @@ mod tests {
             sizes.iter().any(|&s| s > 1),
             "16 near-simultaneous jobs should produce at least one real batch, got {sizes:?}"
         );
+        b.join();
+    }
+
+    #[test]
+    fn zero_window_coalesces_exactly_the_jobs_queued_during_a_run() {
+        const QUEUED: u32 = 7;
+        let sizes = Arc::new(Mutex::new(Vec::new()));
+        let sizes2 = Arc::clone(&sizes);
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let b = Batcher::spawn("t6", Duration::ZERO, 64, 64, move |xs: Vec<u32>| {
+            sizes2.lock().unwrap().push(xs.len());
+            if xs == [0] {
+                // The first batch holds the batcher until the test has
+                // queued the rest.
+                entered_tx.send(()).unwrap();
+                gate_rx.recv().unwrap();
+            }
+            xs
+        })
+        .unwrap();
+        let first = b.submit(0).unwrap();
+        entered_rx.recv().unwrap();
+        let rest: Vec<_> = (1..=QUEUED).map(|i| b.submit(i).unwrap()).collect();
+        gate_tx.send(()).unwrap();
+        assert_eq!(first.wait_timeout(WAIT), Some(0));
+        for (i, slot) in rest.into_iter().enumerate() {
+            assert_eq!(slot.wait_timeout(WAIT), Some(i as u32 + 1));
+        }
+        assert_eq!(*sizes.lock().unwrap(), vec![1, QUEUED as usize]);
         b.join();
     }
 

@@ -84,7 +84,9 @@ pub struct ServeConfig {
     pub quota_rps: f64,
     /// Per-tenant banked cost units on top of `quota_rps`.
     pub quota_burst: f64,
-    /// Extra time a lone batched request waits for company.
+    /// Extra time a lone batched request waits for company. The default
+    /// is zero (work-conserving): a lone job runs at once, and jobs that
+    /// queue while a batch runs still coalesce into the next batch.
     pub batch_window: Duration,
     /// Max requests coalesced into one batched library call.
     pub max_batch: usize,
@@ -115,7 +117,7 @@ impl Default for ServeConfig {
             shard_queue: 32,
             quota_rps: 0.0,
             quota_burst: 16.0,
-            batch_window: Duration::from_millis(2),
+            batch_window: Duration::ZERO,
             max_batch: 32,
             max_body_bytes: 16 * 1024 * 1024,
             request_deadline: http::REQUEST_DEADLINE,

@@ -1,37 +1,232 @@
-//! Scoped-thread data parallelism, replacing `rayon::par_iter` for the
-//! embarrassingly parallel sweeps in `spark-bench`, plus a bounded MPMC
-//! [`channel`] for the long-running serving subsystem.
+//! Data parallelism on one persistent, process-wide thread pool, replacing
+//! `rayon::par_iter` for the parallel sweeps, GEMM row fan-outs and
+//! simulator fork-joins, plus a bounded MPMC [`channel`] for the
+//! long-running serving subsystem.
 //!
-//! The experiment fan-outs are a handful of coarse work items (one model or
-//! one design point each), so a static contiguous-chunk split over
-//! `std::thread::scope` captures all the available speedup without a work
-//! stealing runtime. Results come back in input order.
+//! [`par_map`], [`par_chunks_mut`] and [`join`] each split their work into
+//! chunks and publish them to the pool as one task with an atomic claim
+//! counter. The calling thread claims and runs chunks alongside whichever
+//! pool workers wake, then waits only for chunks another thread has
+//! already claimed. Two things follow:
+//!
+//! - a tiny job (a few microseconds of work) finishes on the caller before
+//!   a worker has even woken, so it pays no thread hand-off;
+//! - nested calls cannot deadlock: a thread only ever waits for a chunk
+//!   that another thread is running, never for one nobody has claimed.
+//!
+//! The pool holds `thread_count() - 1` workers (the caller is the last
+//! thread) and is spawned lazily on the first call that has more than one
+//! chunk; with `SPARK_THREADS=1` there is no pool and everything runs
+//! inline. Results come back in input order, so outputs are bit-identical
+//! to a sequential run. A panicking chunk is caught, and the panic is
+//! re-raised in the caller once every chunk of its call has settled; the
+//! worker that ran it survives.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Number of worker threads [`par_map`] will use: the machine's available
-/// parallelism, overridable (e.g. for deterministic timing runs) with the
-/// `SPARK_THREADS` environment variable.
-pub fn thread_count() -> usize {
-    if let Ok(v) = std::env::var("SPARK_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+/// Locks `m`, recovering the guard if a thread panicked while holding it.
+/// Every critical section in this module leaves its data valid at each
+/// step (a counter bump, a queue push or pop, an `Option` swap), so a
+/// poisoned lock holds consistent data.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Maps `f` over `items` on up to [`thread_count`] scoped threads,
-/// preserving input order in the output.
+/// Number of threads a parallel call uses, the caller included: the
+/// machine's available parallelism, overridable (e.g. for deterministic
+/// timing runs) with the `SPARK_THREADS` environment variable.
 ///
-/// Items are split into contiguous chunks, one per worker; each worker maps
-/// its chunk independently. `f` must be `Sync` (shared by reference across
-/// workers) and the item/result types must cross thread boundaries.
+/// The value is read once, on first use, and fixed for the life of the
+/// process: setting `SPARK_THREADS` after the first parallel call has no
+/// effect.
+pub fn thread_count() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("SPARK_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .map_or_else(
+                || std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+                |n| n.max(1),
+            )
+    })
+}
+
+/// The chunk body of one parallel call, called with each chunk index.
+type ChunkFn = dyn Fn(usize) + Sync;
+
+/// One parallel call's chunks, shared between its caller and the pool.
+struct Task {
+    /// The caller's chunk body with its lifetime erased; see
+    /// [`run_chunks`] for why it is never used after the caller returns.
+    body: *const ChunkFn,
+    chunks: usize,
+    /// Claim counter: `fetch_add` hands out each index below `chunks`
+    /// exactly once.
+    next: AtomicUsize,
+    /// Chunks that have run to completion or panicked.
+    settled: Mutex<usize>,
+    all_settled: Condvar,
+    /// The first panic a chunk raised, re-raised in the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+// SAFETY: `body` is the only field that is not already `Send + Sync`. It
+// points to a `Sync` closure, so calling it from several threads at once
+// is allowed, and it is dereferenced only by a thread that has claimed a
+// chunk index below `chunks`. `run_chunks` keeps the closure alive until
+// every claimed chunk has settled (its `Settle` guard), and once every
+// index is claimed no thread can claim another, so no thread dereferences
+// `body` after the closure is gone. The remaining fields are atomics and
+// mutexes over `Send` data.
+unsafe impl Send for Task {}
+// SAFETY: as for `Send` above.
+unsafe impl Sync for Task {}
+
+impl Task {
+    fn has_unclaimed(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.chunks
+    }
+
+    /// Claims and runs chunks until none is left unclaimed.
+    fn work(&self) {
+        loop {
+            // Relaxed suffices: the counter only hands out distinct
+            // indices. What a chunk writes is published to the caller by
+            // the `settled` mutex below.
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.chunks {
+                return;
+            }
+            // SAFETY: `index < chunks` was claimed by this thread, so the
+            // caller is still waiting in `Settle::drop` and the closure
+            // behind `body` is alive (see the `Send` impl above).
+            let body = unsafe { &*self.body };
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(index))) {
+                lock(&self.panic).get_or_insert(payload);
+            }
+            let mut settled = lock(&self.settled);
+            *settled += 1;
+            if *settled == self.chunks {
+                self.all_settled.notify_all();
+            }
+        }
+    }
+}
+
+/// The process-wide pool: tasks with chunks left to claim, and the
+/// condvar idle workers sleep on.
+struct Pool {
+    tasks: Mutex<VecDeque<Arc<Task>>>,
+    wake: Condvar,
+}
+
+static POOL: Pool = Pool { tasks: Mutex::new(VecDeque::new()), wake: Condvar::new() };
+
+impl Pool {
+    /// Number of pool workers, spawning them on first use. A worker that
+    /// fails to spawn (resource exhaustion) is simply absent: the callers
+    /// run its share themselves.
+    fn workers(&'static self) -> usize {
+        static WORKERS: OnceLock<usize> = OnceLock::new();
+        *WORKERS.get_or_init(|| {
+            (1..thread_count())
+                .filter(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("spark-par-{i}"))
+                        .spawn(move || self.serve())
+                        .is_ok()
+                })
+                .count()
+        })
+    }
+
+    /// A worker's loop: run chunks of the oldest task that has any left,
+    /// sleep when none has. Workers live for the whole process; they hold
+    /// no resources between tasks, so there is nothing to join.
+    fn serve(&self) {
+        let mut tasks = lock(&self.tasks);
+        loop {
+            match tasks.iter().find(|t| t.has_unclaimed()).cloned() {
+                Some(task) => {
+                    drop(tasks);
+                    task.work();
+                    tasks = lock(&self.tasks);
+                }
+                None => tasks = self.wake.wait(tasks).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+    }
+}
+
+/// Waits, on drop, until every chunk of its task has settled, then takes
+/// the task off the pool queue. It runs on the normal path and while
+/// unwinding alike, so the caller of [`run_chunks`] can never leave while
+/// a pool worker still runs one of its chunks.
+struct Settle<'a>(&'a Arc<Task>);
+
+impl Drop for Settle<'_> {
+    fn drop(&mut self) {
+        let task = self.0;
+        // Run whatever is still unclaimed (only on an early exit), so the
+        // wait below is for chunks other threads are already running.
+        task.work();
+        let mut settled = lock(&task.settled);
+        while *settled < task.chunks {
+            settled = task.all_settled.wait(settled).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(settled);
+        lock(&POOL.tasks).retain(|t| !Arc::ptr_eq(t, task));
+    }
+}
+
+/// Runs `body(i)` for every `i` in `0..chunks`, on the caller and the
+/// pool, returning once all have run. A panic in any chunk is re-raised
+/// here after every chunk has settled.
+fn run_chunks(chunks: usize, body: &(dyn Fn(usize) + Sync)) {
+    if chunks <= 1 || POOL.workers() == 0 {
+        (0..chunks).for_each(body);
+        return;
+    }
+    let body: *const (dyn Fn(usize) + Sync + '_) = body;
+    // SAFETY: only the trait object's lifetime bound changes (same fat
+    // pointer layout). The pointer is used past this frame only through
+    // `Task::work` after a successful claim, and the `Settle` guard below
+    // keeps this frame alive until every claimed chunk has settled.
+    let body: *const ChunkFn = unsafe { std::mem::transmute(body) };
+    let task = Arc::new(Task {
+        body,
+        chunks,
+        next: AtomicUsize::new(0),
+        settled: Mutex::new(0),
+        all_settled: Condvar::new(),
+        panic: Mutex::new(None),
+    });
+    lock(&POOL.tasks).push_back(Arc::clone(&task));
+    let settle = Settle(&task);
+    for _ in 0..(chunks - 1).min(POOL.workers()) {
+        POOL.wake.notify_one();
+    }
+    task.work();
+    drop(settle);
+    let payload = lock(&task.panic).take();
+    if let Some(payload) = payload {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// Maps `f` over `items` on up to [`thread_count`] threads (the caller
+/// and the pool), preserving input order in the output.
+///
+/// Items are split into contiguous chunks, one per thread; each chunk is
+/// mapped independently. `f` must be `Sync` (shared by reference across
+/// threads) and the item/result types must cross thread boundaries.
 ///
 /// ```
 /// use spark_util::par::par_map;
@@ -44,33 +239,30 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = thread_count().min(items.len());
-    if workers <= 1 {
+    let threads = thread_count().min(items.len());
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("par_map worker panicked"));
-        }
+    let parts: Vec<&[T]> = items.chunks(items.len().div_ceil(threads)).collect();
+    let outs: Vec<Mutex<Vec<R>>> = parts.iter().map(|_| Mutex::new(Vec::new())).collect();
+    run_chunks(parts.len(), &|i| {
+        let out: Vec<R> = parts[i].iter().map(&f).collect();
+        *lock(&outs[i]) = out;
     });
-    results.into_iter().flatten().collect()
+    outs.into_iter()
+        .flat_map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect()
 }
 
 /// Runs `f` over contiguous mutable chunks of `data` — each `chunk_len`
-/// elements, the last possibly shorter — spawning one scoped thread per
-/// chunk when more than one chunk exists. The callback receives the chunk
-/// index alongside the chunk, so workers can recover their global offset
+/// elements, the last possibly shorter — on the caller and the pool when
+/// more than one chunk exists. The callback receives the chunk index
+/// alongside the chunk, so it can recover the global offset
 /// (`index * chunk_len`).
 ///
-/// The caller sizes the chunks: pass `data.len().div_ceil(workers)` to get
-/// one chunk per worker. A single chunk (or an empty slice) runs inline on
-/// the calling thread with no spawn.
+/// The caller sizes the chunks: pass `data.len().div_ceil(thread_count())`
+/// to get one chunk per thread. A single chunk (or an empty slice) runs
+/// inline on the calling thread.
 ///
 /// This is the mutable-output counterpart of [`par_map`], used by the
 /// tensor backend to fan a GEMM out over disjoint row blocks of the output
@@ -103,20 +295,23 @@ where
         f(0, data);
         return;
     }
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            scope.spawn(move || f(ci, chunk));
+    let chunks: Vec<Mutex<Option<&mut [T]>>> =
+        data.chunks_mut(chunk_len).map(|c| Mutex::new(Some(c))).collect();
+    run_chunks(chunks.len(), &|i| {
+        let chunk = lock(&chunks[i]).take();
+        if let Some(chunk) = chunk {
+            f(i, chunk);
         }
     });
 }
 
-/// Runs two independent closures on scoped threads and returns both
+/// Runs two independent closures, `a` on the caller and `b` on the pool
+/// (or the caller, if no worker picks it up first), and returns both
 /// results — the two-way fork-join the simulator uses to overlap its
 /// short/long differencing runs.
 ///
-/// Falls back to sequential execution when [`thread_count`] is 1 (e.g.
-/// `SPARK_THREADS=1` for deterministic timing runs).
+/// Runs sequentially when [`thread_count`] is 1 (e.g. `SPARK_THREADS=1`
+/// for deterministic timing runs).
 ///
 /// ```
 /// use spark_util::par::join;
@@ -131,11 +326,26 @@ where
     if thread_count() < 2 {
         return (a(), b());
     }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("join worker panicked"))
-    })
+    let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+    run_chunks(2, &|i| {
+        if i == 0 {
+            let a = lock(&a).take();
+            *lock(&ra) = a.map(|a| a());
+        } else {
+            let b = lock(&b).take();
+            *lock(&rb) = b.map(|b| b());
+        }
+    });
+    // Both chunks ran: a panic in either was re-raised by `run_chunks`.
+    (
+        ra.into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("join: chunk 0 settled without a panic, so it ran"),
+        rb.into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("join: chunk 1 settled without a panic, so it ran"),
+    )
 }
 
 /// Creates a bounded multi-producer multi-consumer channel of capacity
@@ -193,13 +403,10 @@ struct Shared<T> {
 }
 
 impl<T> Shared<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ChanState<T>> {
+    fn lock(&self) -> MutexGuard<'_, ChanState<T>> {
         // A worker panicking mid-queue-op would poison the mutex; the queue
         // itself is always left consistent, so keep going.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock(&self.state)
     }
 }
 
@@ -246,10 +453,7 @@ impl<T> Sender<T> {
                 self.0.not_empty.notify_one();
                 return Ok(());
             }
-            s = match self.0.not_full.wait(s) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            s = self.0.not_full.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -300,10 +504,7 @@ impl<T> Receiver<T> {
             if s.senders == 0 {
                 return None;
             }
-            s = match self.0.not_empty.wait(s) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            s = self.0.not_empty.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -342,10 +543,11 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            s = match self.0.not_empty.wait_timeout(s, deadline - now) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+            s = self
+                .0
+                .not_empty
+                .wait_timeout(s, deadline - now)
+                .map_or_else(|e| e.into_inner().0, |(g, _)| g);
         }
     }
 

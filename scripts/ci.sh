@@ -290,8 +290,11 @@ grep -Eq '"compaction_mismatches": *0' CHAOS_a.json || {
 mv CHAOS_a.json CHAOS.json
 rm -f CHAOS_b.json
 
-echo "==> robustness grep gate (no unwrap()/panic! in serve/codec/store non-test code)"
-# Non-test code in the trust-boundary crates must use typed errors. The
+echo "==> robustness grep gate (no unwrap()/panic! in serve/codec/store/par non-test code)"
+# Non-test code in the trust-boundary crates must use typed errors, and the
+# process-wide thread pool (crates/util/src/par.rs) must survive a panicking
+# chunk: poison-tolerant locks, and resume_unwind to hand a chunk's panic to
+# its caller. The
 # awk body stops scanning each file at its #[cfg(test)] marker (test
 # modules sit at the bottom of every file in this repo). expect() with an
 # infallibility comment is allowed; .unwrap() and panic!() are not.
@@ -301,7 +304,8 @@ violations=$(awk '
     in_tests { next }
     /^[[:space:]]*\/\// { next }
     /\.unwrap\(\)|panic!\(/ { print FILENAME ":" FNR ": " $0 }
-' crates/serve/src/*.rs crates/codec/src/*.rs crates/store/src/*.rs)
+' crates/serve/src/*.rs crates/codec/src/*.rs crates/store/src/*.rs \
+    crates/util/src/par.rs)
 if [ -n "$violations" ]; then
     echo "grep gate: forbidden unwrap()/panic!() in non-test code:" >&2
     echo "$violations" >&2
